@@ -168,55 +168,53 @@ impl CoordinationPolicy {
 
     /// Loads a policy from a file written by [`CoordinationPolicy::save`],
     /// verifying the header's payload length (truncation) and FNV-1a 64
-    /// checksum (corruption) before parsing. Headerless files are parsed
-    /// as legacy bare-JSON artifacts.
+    /// checksum (corruption) before parsing.
     ///
     /// # Errors
     ///
-    /// Returns I/O errors or [`io::ErrorKind::InvalidData`] for
-    /// truncated, corrupt, or malformed content; the message names the
-    /// offending path and, for integrity failures, the expected vs.
-    /// actual length or checksum.
+    /// Returns I/O errors or [`io::ErrorKind::InvalidData`] for a missing
+    /// `dosco-policy-v1` header line and for truncated, corrupt, or
+    /// malformed content; the message names the offending path and, for
+    /// integrity failures, the expected vs. actual length or checksum.
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref();
         let content = std::fs::read_to_string(path).map_err(|e| {
             io::Error::new(e.kind(), format!("reading policy file {}: {e}", path.display()))
         })?;
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let header = content
+        let (h, payload) = content
             .split_once('\n')
             .and_then(|(first, rest)| {
                 serde_json::from_str::<ArtifactHeader>(first)
                     .ok()
                     .filter(|h| h.format == ARTIFACT_FORMAT)
                     .map(|h| (h, rest))
-            });
-        let payload = match &header {
-            Some((h, payload)) => {
-                if payload.len() as u64 != h.payload_len {
-                    return Err(invalid(format!(
-                        "policy file {} is truncated or padded: header expects {} payload \
-                         bytes, found {}",
-                        path.display(),
-                        h.payload_len,
-                        payload.len()
-                    )));
-                }
-                let actual = format!("{:016x}", fnv1a64(payload.as_bytes()));
-                if actual != h.fnv64 {
-                    return Err(invalid(format!(
-                        "policy file {} is corrupt: header expects fnv64 checksum {}, \
-                         payload hashes to {}",
-                        path.display(),
-                        h.fnv64,
-                        actual
-                    )));
-                }
-                *payload
-            }
-            // No artifact header: a legacy bare-JSON policy file.
-            None => content.as_str(),
-        };
+            })
+            .ok_or_else(|| {
+                invalid(format!(
+                    "policy file {} has no {ARTIFACT_FORMAT} header line",
+                    path.display()
+                ))
+            })?;
+        if payload.len() as u64 != h.payload_len {
+            return Err(invalid(format!(
+                "policy file {} is truncated or padded: header expects {} payload \
+                 bytes, found {}",
+                path.display(),
+                h.payload_len,
+                payload.len()
+            )));
+        }
+        let actual = format!("{:016x}", fnv1a64(payload.as_bytes()));
+        if actual != h.fnv64 {
+            return Err(invalid(format!(
+                "policy file {} is corrupt: header expects fnv64 checksum {}, \
+                 payload hashes to {}",
+                path.display(),
+                h.fnv64,
+                actual
+            )));
+        }
         Self::from_json(payload).map_err(|e| {
             invalid(format!("parsing policy file {}: {e}", path.display()))
         })
@@ -508,17 +506,20 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Pre-header artifacts (bare policy JSON) still load.
+    /// Bare policy JSON without the integrity header is rejected, not
+    /// parsed unchecked.
     #[test]
-    fn load_accepts_legacy_bare_json_artifacts() {
+    fn load_rejects_headerless_bare_json() {
         let p = policy(3);
         let dir = std::env::temp_dir().join("dosco-policy-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json");
+        let path = dir.join("bare.json");
         std::fs::write(&path, p.to_json().unwrap()).unwrap();
-        let q = CoordinationPolicy::load(&path).unwrap();
-        assert_eq!(p.degree(), q.degree());
-        assert_eq!(p.act(&[0.25f32; 16]), q.act(&[0.25f32; 16]));
+        let err = CoordinationPolicy::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("bare.json"), "must name the path: {msg}");
+        assert!(msg.contains(ARTIFACT_FORMAT), "must name the missing header: {msg}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -61,47 +61,29 @@ impl PartialOrd for HeapEntry {
 }
 
 impl ShortestPaths {
-    /// Runs Dijkstra from every node and stores delays plus next hops.
+    /// Runs Dijkstra from every node and stores delays plus next hops:
+    /// [`ShortestPaths::compute_masked`] with every node and link up and
+    /// the topology's own link delays.
     pub fn compute(topo: &Topology) -> Self {
-        let n = topo.num_nodes();
-        let mut dist = vec![f64::INFINITY; n * n];
-        let mut next_hop: Vec<Option<NodeId>> = vec![None; n * n];
-
-        for s in topo.node_ids() {
-            let row = s.0 * n;
-            dist[row + s.0] = 0.0;
-            let mut heap = BinaryHeap::new();
-            heap.push(HeapEntry { dist: 0.0, node: s });
-            // first[v] = first hop from s towards v (None for s itself).
-            let mut first: Vec<Option<NodeId>> = vec![None; n];
-            while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-                if d > dist[row + v.0] {
-                    continue; // stale entry
-                }
-                for &(w, l) in topo.neighbors(v) {
-                    let nd = d + topo.link(l).delay;
-                    if nd < dist[row + w.0] {
-                        dist[row + w.0] = nd;
-                        first[w.0] = if v == s { Some(w) } else { first[v.0] };
-                        heap.push(HeapEntry { dist: nd, node: w });
-                    }
-                }
-            }
-            next_hop[row..row + n].copy_from_slice(&first);
-        }
-        ShortestPaths { n, dist, next_hop }
+        let delays: Vec<f64> = topo.link_ids().map(|l| topo.link(l).delay).collect();
+        Self::compute_masked(
+            topo,
+            &vec![true; topo.num_nodes()],
+            &vec![true; topo.num_links()],
+            &delays,
+        )
     }
 
-    /// Like [`ShortestPaths::compute`], but on a *masked* view of the
-    /// topology: a link is usable only while `link_up[l]` holds and both
-    /// endpoints satisfy `node_up[v]`, and its delay is read from
-    /// `delays[l]` instead of the topology (churn may spike delays without
-    /// rebuilding the graph).
+    /// Runs Dijkstra from every node on a *masked* view of the topology:
+    /// a link is usable only while `link_up[l]` holds and both endpoints
+    /// satisfy `node_up[v]`, and its delay is read from `delays[l]`
+    /// instead of the topology (churn may spike delays without rebuilding
+    /// the graph).
     ///
-    /// The relaxation order is identical to a fresh
-    /// [`ShortestPaths::compute`] on a topology rebuilt from the surviving
-    /// links with the masked delays, so the result — distances *and* next
-    /// hops — is exactly equal to that fresh computation (pinned by
+    /// Masked-out links are skipped without disturbing the relaxation
+    /// order, so the result — distances *and* next hops — is exactly
+    /// equal to a fresh [`ShortestPaths::compute`] on a topology rebuilt
+    /// from the surviving links with the masked delays (pinned by
     /// proptest). Dead or disconnected pairs have infinite delay; a dead
     /// node still has `delay(v, v) == 0`.
     ///
@@ -127,6 +109,7 @@ impl ShortestPaths {
             dist[row + s.0] = 0.0;
             let mut heap = BinaryHeap::new();
             heap.push(HeapEntry { dist: 0.0, node: s });
+            // first[v] = first hop from s towards v (None for s itself).
             let mut first: Vec<Option<NodeId>> = vec![None; n];
             while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
                 if d > dist[row + v.0] {
@@ -323,20 +306,6 @@ mod tests {
         assert_eq!(links.len(), 2);
         let total: f64 = links.iter().map(|&l| t.link(l).delay).sum();
         assert_eq!(total, sp.delay(NodeId(0), NodeId(2)));
-    }
-
-    #[test]
-    fn masked_with_everything_up_equals_fresh_compute() {
-        let t = crate::zoo::abilene();
-        let delays: Vec<f64> = t.link_ids().map(|l| t.link(l).delay).collect();
-        let fresh = ShortestPaths::compute(&t);
-        let masked = ShortestPaths::compute_masked(
-            &t,
-            &vec![true; t.num_nodes()],
-            &vec![true; t.num_links()],
-            &delays,
-        );
-        assert_eq!(fresh, masked);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full local gate: release build, tests, lints, and bench compilation.
+# Full local gate: release build, tests, lints, and the benchmark self-test.
 # Usage: scripts/check.sh   (run from anywhere; cd's to the repo root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,7 +49,7 @@ cargo test --release -p dosco-serve --test bit_identity
 echo "== serve fault injection (SP fallback + hot-swap accounting) =="
 cargo test --release -p dosco-serve --test fault_injection
 
-echo "== simcore 100k-flow churn smoke (release, bounded time + flat memory) =="
+echo "== simcore 100k- and 1M-flow churn smoke (release, bounded time + flat memory) =="
 cargo test --release -p dosco-bench --test churn_smoke -- --include-ignored
 
 echo "== obs disabled-path overhead (release, <1% contract) =="
@@ -81,13 +81,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (runtime crate, deny missing docs) =="
 cargo doc --no-deps -p dosco-runtime
 
-echo "== cargo bench (compile only) =="
-cargo bench --no-run --workspace
-
-echo "== cargo bench (runtime throughput) =="
-cargo bench -p dosco-bench --bench runtime_throughput
-
-echo "== cargo bench (serve throughput) =="
-cargo bench -p dosco-bench --bench serve_throughput
+echo "== benchmark self-test (perfbench, tiny scale) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "All checks passed."

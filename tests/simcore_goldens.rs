@@ -117,8 +117,8 @@ fn capture() -> Goldens {
         }
     }
     // DOSCO_TRACE byte-identity: one traced episode, hashing the JSONL
-    // recorder's output bytes (the acceptance criterion is byte-identical
-    // trace output across the storage/scheduling refactor).
+    // recorder's output bytes (the requirement is byte-identical trace
+    // output across the storage/scheduling refactor).
     {
         let cfg = ScenarioConfig::paper_base(3)
             .with_pattern(ArrivalPattern::paper_poisson())
